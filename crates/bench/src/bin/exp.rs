@@ -29,6 +29,8 @@
 //! the engine's cooperative cancellation token and reported as a typed
 //! timeout while the rest of the suite completes.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Mutex;

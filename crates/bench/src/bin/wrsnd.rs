@@ -19,6 +19,8 @@
 //! unanswered or non-`ok`, duplicate digests served different bytes, or
 //! (with `--verify-exp`) daemon output drifting from an in-process run.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 

@@ -88,7 +88,7 @@ pub struct ScaleRow {
     pub nodes: usize,
     /// Shard count the world ran with.
     pub shards: usize,
-    /// Worker threads the parallel shard executor ran with.
+    /// Worker threads the world ran with (network build and power recompute).
     pub threads: usize,
     /// Seconds to deploy and build the world (graph, routing, grid).
     pub build_s: f64,

@@ -1,7 +1,6 @@
 //! `tab1` — planner runtime scaling with victim count.
 //!
-//! Wall-clock medians over a few repetitions; the Criterion benches in
-//! `benches/microbench.rs` measure the same costs rigorously.
+//! Wall-clock medians over a few repetitions.
 
 use std::time::Instant;
 

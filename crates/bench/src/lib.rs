@@ -8,8 +8,7 @@
 //! ```
 //!
 //! Each experiment returns [`Table`]s that are printed as aligned ASCII and
-//! exported as CSV under `target/experiments/`. Criterion micro-benchmarks
-//! (`cargo bench -p wrsn-bench`) cover the algorithmic costs behind `tab1`.
+//! exported as CSV under `target/experiments/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,8 +18,8 @@
 //! never served.
 //!
 //! Writes go through [`store::write_atomic`] (same-directory temp file +
-//! fsync + rename), so a daemon killed mid-write leaves either the old entry
-//! or the new one, never a torn file at the final path.
+//! fsync + rename + directory fsync), so a daemon killed mid-write leaves
+//! either the old entry or the new one, never a torn file at the final path.
 //!
 //! A cache opened with [`ResultCache::open_bounded`] additionally keeps the
 //! store under a byte cap with **deterministic LRU eviction**: every save and

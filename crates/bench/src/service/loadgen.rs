@@ -513,6 +513,7 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, BenchError> {
 /// `None` when it cannot be reached (e.g. through a misbehaving proxy).
 fn fetch_daemon_stats(connect: &str) -> Option<String> {
     let mut stream = TcpStream::connect(connect).ok()?;
+    stream.set_nodelay(true).ok()?;
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     stream
         .write_all(b"{\"id\":\"stats\",\"op\":\"stats\"}\n")
@@ -573,6 +574,9 @@ fn poll_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> std::io::Result<O
 
 fn connect_with_timeouts(connect: &str) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
     let stream = TcpStream::connect(connect)?;
+    // Requests go out as two writes (line, then newline): without
+    // `TCP_NODELAY` the newline waits for the daemon's delayed ACK.
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL_TIMEOUT))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
     let write_half = stream.try_clone()?;

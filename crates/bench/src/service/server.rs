@@ -219,6 +219,10 @@ fn serve_connection(
     scheduler: &Arc<Scheduler>,
     control: &Arc<Control>,
 ) {
+    // A reply longer than the writer's buffer goes out as two writes (line,
+    // then newline); with Nagle on, the newline would wait for the client's
+    // delayed ACK (~40 ms).
+    let _ = stream.set_nodelay(true);
     if let Some(idle) = config.idle_timeout {
         let _ = stream.set_read_timeout(Some(idle));
         let _ = stream.set_write_timeout(Some(idle));

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! Writes are atomic — the bytes go to a temp file in the target directory
-//! which is fsynced and then renamed over the destination — so a reader (or a
-//! resumed run) only ever sees the previous complete checkpoint or the new
+//! which is fsynced and then renamed over the destination, and the directory
+//! is fsynced after the rename — so a reader (or a resumed run, even after
+//! power loss) only ever sees the previous complete checkpoint or the new
 //! complete checkpoint, never a torn one. Loads verify the magic, format
 //! version, payload length, and FNV-1a checksum before parsing, and reject
 //! anything that does not match with a typed [`StoreError`] (never a panic,
@@ -31,6 +32,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::obs::{Counter, Recorder};
 use crate::world::{Checkpoint, World};
@@ -195,15 +197,22 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> StoreError {
     }
 }
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename. A crash mid-write leaves the previous file (or nothing)
-/// intact, never a torn one.
+/// Writes `bytes` to `path` atomically and durably: temp file in the same
+/// directory, fsync, rename, fsync of the directory. A crash or power loss
+/// mid-write leaves the previous file (or nothing) intact, never a torn one,
+/// and a returned `Ok` means the new file survives power loss.
+///
+/// Safe to call from several threads on the same path: every call writes
+/// its own temp file (`.<file>.tmp.<pid>.<seq>`), so concurrent writers
+/// never share one, and the file ends as the complete bytes of whichever
+/// rename landed last.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] when any filesystem step fails; the temp file
 /// is cleaned up on a failed rename.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     if let Some(dir) = dir {
         fs::create_dir_all(dir).map_err(|e| io_err("create directory for", path, &e))?;
@@ -212,7 +221,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "checkpoint".to_string());
-    let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{file_name}.tmp.{}.{seq}", std::process::id()));
     let result = (|| {
         let mut file = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
         file.write_all(bytes)
@@ -224,7 +234,18 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
     }
-    result
+    result?;
+    sync_dir(dir.unwrap_or(Path::new("."))).map_err(|e| io_err("sync directory of", path, &e))
+}
+
+/// Fsyncs a directory so a rename inside it is durable. Directories cannot
+/// be opened as files outside Unix; there the rename is left to the OS.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        fs::File::open(dir)?.sync_all()
+    } else {
+        Ok(())
+    }
 }
 
 /// Serializes `checkpoint` and writes it to `path` atomically under the
@@ -446,7 +467,6 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -472,6 +492,58 @@ mod tests {
         write_atomic(&path, b"first").unwrap();
         write_atomic(&path, b"second").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "second");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_write_atomic_to_one_path_never_fails_or_tears() {
+        const WRITERS: usize = 4;
+        const ROUNDS: usize = 50;
+        let path = temp_path("concurrent");
+        // Each writer's bytes differ in length and content, so a torn or
+        // interleaved file cannot pass for any one writer's.
+        let payload = |k: usize| vec![b'a' + k as u8; 1024 * (k + 1)];
+        // Every round starts all writers together, so their calls overlap.
+        // A failed call is recorded, not panicked on, so its writer keeps
+        // meeting the others at the barrier.
+        let start = std::sync::Barrier::new(WRITERS);
+        let failures: Vec<String> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|k| {
+                    let (path, start) = (&path, &start);
+                    scope.spawn(move || {
+                        let mut failed = Vec::new();
+                        for round in 0..ROUNDS {
+                            start.wait();
+                            if let Err(e) = write_atomic(path, &payload(k)) {
+                                failed.push(format!("writer {k} round {round}: {e}"));
+                            }
+                        }
+                        failed
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().expect("writer thread"))
+                .collect()
+        });
+        assert!(failures.is_empty(), "{failures:#?}");
+        let got = fs::read(&path).unwrap();
+        assert!(
+            (0..WRITERS).any(|k| got == payload(k)),
+            "file is no writer's complete bytes ({} bytes)",
+            got.len()
+        );
+        let dir = path.parent().unwrap();
+        let stem = path.file_name().unwrap().to_string_lossy().into_owned();
+        for entry in fs::read_dir(dir).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            assert!(
+                !name.starts_with(&format!(".{stem}.tmp")),
+                "stray temp file {name}"
+            );
+        }
         let _ = fs::remove_file(&path);
     }
 

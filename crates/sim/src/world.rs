@@ -21,7 +21,7 @@ use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::obs::{self, Counter, Gauge, Recorder, TraceRecord};
 use crate::policy::{ChargerAction, ChargerPolicy, WorldView};
 use crate::request::{ChargeRequest, RequestQueue};
-use crate::shard_exec::{self, SegmentCtx, ShardSlot};
+use crate::segment::{self, SegmentCtx};
 use crate::store::Checkpointer;
 use crate::trace::{ChargeSession, SimEvent, Trace};
 
@@ -128,15 +128,15 @@ pub struct World {
     /// serialized, never part of a [`Checkpoint`], never perturbs the
     /// trajectory.
     ckpt: Option<Checkpointer>,
-    /// Number of spatial shards the advance loop partitions the node columns
-    /// into (1 = unsharded). Pure execution strategy, like `ckpt`: never
+    /// Number of spatial shards the advance loop visits the node columns in
+    /// (1 = unsharded). Pure execution strategy, like `ckpt`: never
     /// serialized, preserved across [`World::restore`], and byte-identical
     /// output at any value.
     shard_count: usize,
-    /// Worker threads the sharded advance fans shards over (1 = run shards
-    /// sequentially on the calling thread). Pure execution strategy like
-    /// `shard_count`: never serialized, preserved across [`World::restore`],
-    /// byte-identical output at any value.
+    /// Worker threads of the full power recompute (1 = calling thread only).
+    /// Pure execution strategy like `shard_count`: never serialized,
+    /// preserved across [`World::restore`], byte-identical output at any
+    /// value.
     thread_count: usize,
     scratch: Scratch,
 }
@@ -178,9 +178,6 @@ struct Scratch {
     /// shard sorted ascending. Empty when `World::shard_count <= 1` (the
     /// unsharded fast path iterates `alive_idx` directly).
     shards: Vec<Vec<usize>>,
-    /// Per-shard accumulators for the parallel advance, one per shard (kept
-    /// sized by [`World::rebuild_shards`] so the hot loop never allocates).
-    shard_slots: Vec<ShardSlot>,
 }
 
 impl Default for Scratch {
@@ -199,7 +196,6 @@ impl Default for Scratch {
             },
             horizon: None,
             shards: Vec::new(),
-            shard_slots: Vec::new(),
         }
     }
 }
@@ -371,8 +367,10 @@ impl World {
     }
 
     /// Sets the number of spatial shards the advance loop partitions the
-    /// node columns into (values below 1 clamp to 1 = unsharded). Sharding
-    /// is a pure execution strategy: the trajectory, trace and snapshots are
+    /// node columns into (values below 1 clamp to 1 = unsharded). Shards
+    /// only order the work: each segment visits them one after another on
+    /// the calling thread. Sharding is a pure
+    /// execution strategy: the trajectory, trace and snapshots are
     /// byte-identical at any shard count. New worlds start from the
     /// [`crate::parallel::SHARDS_ENV`] environment variable (default 1).
     pub fn set_shards(&mut self, shards: usize) {
@@ -385,13 +383,15 @@ impl World {
         self.shard_count
     }
 
-    /// Sets the number of worker threads the sharded advance fans shards over
-    /// (values below 1 clamp to 1 = sequential). Like sharding, threading is
-    /// a pure execution strategy: the trajectory, trace and snapshots are
-    /// byte-identical at any thread count. It only takes effect together with
-    /// `set_shards(n >= 2)` — with one shard there is nothing to fan out.
-    /// New worlds start from the [`crate::parallel::THREADS_ENV`] environment
-    /// variable (default: available parallelism).
+    /// Sets the number of worker threads the full power recompute
+    /// ([`keynode::effective_power_draw_with_tree_threads`]) may use (values
+    /// below 1 clamp to 1 = sequential). That recompute only threads at
+    /// 8 192 nodes and above; the advance loop itself always runs on the
+    /// calling thread. Like sharding, threading is a pure execution
+    /// strategy: the trajectory, trace and snapshots are byte-identical at
+    /// any thread count. New worlds start from the
+    /// [`crate::parallel::THREADS_ENV`] environment variable (default:
+    /// available parallelism).
     pub fn set_threads(&mut self, threads: usize) {
         self.thread_count = threads.max(1);
     }
@@ -488,11 +488,9 @@ impl World {
     /// cell list is cut into `shard_count` contiguous blocks of roughly equal
     /// node count, each sorted ascending. Membership is a pure function of
     /// positions, comm range and shard count — identical across runs,
-    /// restores and thread counts, which is what makes the sharded advance
-    /// deterministic.
+    /// restores and thread counts.
     fn rebuild_shards(&mut self) {
         self.scratch.shards.clear();
-        self.scratch.shard_slots.clear();
         let n = self.net.node_count();
         if self.shard_count <= 1 || n == 0 {
             return;
@@ -522,9 +520,6 @@ impl World {
             shard.sort_unstable();
             self.scratch.shards.push(shard);
         }
-        self.scratch
-            .shard_slots
-            .resize_with(self.scratch.shards.len(), ShardSlot::default);
     }
 
     /// Recomputes routing/power from scratch after a topology change, updates
@@ -854,7 +849,6 @@ impl World {
             // `next_event_horizon` scan (same nodes ascending, same values).
             let mut t_next = f64::INFINITY;
             {
-                let threads = self.thread_count;
                 let mut cols = self.net.energy_mut();
                 let Scratch {
                     alive,
@@ -863,7 +857,6 @@ impl World {
                     dead,
                     crossed,
                     shards,
-                    shard_slots,
                     ..
                 } = &mut self.scratch;
                 let ctx = SegmentCtx {
@@ -874,7 +867,7 @@ impl World {
                     step,
                 };
                 if shards.is_empty() {
-                    stored += shard_exec::apply_sequential(
+                    stored += segment::apply_segment(
                         &mut cols,
                         alive_idx,
                         None,
@@ -888,46 +881,22 @@ impl World {
                     // of every other node's, so each shard applies the same
                     // ops to its own members (filtered by the alive mask —
                     // shards keep dead members, `alive_idx` does not), and
-                    // the cross-shard effect lists are merged back into the
-                    // ascending index order the unsharded loop produces.
-                    // `t_next` is a min-fold (exactly associative) and
-                    // `stored` is only ever contributed by the inject node's
-                    // shard, so the merge is bitwise equal to the fast path
-                    // at any shard × thread count.
-                    if threads > 1 && shards.len() > 1 {
-                        // Parallel: each shard fills a private slot; the
-                        // merge below replays the sequential loop's exact
-                        // accumulation sequence in ascending shard order.
-                        shard_exec::apply_shards_parallel(
+                    // the effect lists are sorted back into the ascending
+                    // index order the unsharded loop produces. `t_next` is a
+                    // min-fold (exactly associative) and `stored` is only
+                    // ever contributed by the inject node's shard, so the
+                    // result is bitwise equal to the fast path at any shard
+                    // count.
+                    for shard in shards.iter() {
+                        stored += segment::apply_segment(
                             &mut cols,
-                            shards,
-                            alive,
-                            threads,
+                            shard,
+                            Some(alive),
                             &ctx,
-                            shard_slots,
-                        )
-                        .map_err(|e| SimError::ShardPanic {
-                            shard: e.index,
-                            message: e.message,
-                        })?;
-                        for slot in shard_slots.iter_mut() {
-                            stored += slot.stored;
-                            t_next = t_next.min(slot.t_next);
-                            dead.append(&mut slot.dead);
-                            crossed.append(&mut slot.crossed);
-                        }
-                    } else {
-                        for shard in shards.iter() {
-                            stored += shard_exec::apply_sequential(
-                                &mut cols,
-                                shard,
-                                Some(alive),
-                                &ctx,
-                                &mut t_next,
-                                dead,
-                                crossed,
-                            );
-                        }
+                            &mut t_next,
+                            dead,
+                            crossed,
+                        );
                     }
                     dead.sort_unstable();
                     crossed.sort_unstable();

@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example attack_campaign`
 
+#![forbid(unsafe_code)]
+
 use wrsn::core::attack::{evaluate_attack, CsaAttackPolicy};
 use wrsn::core::csa;
 use wrsn::core::tide::TideInstance;

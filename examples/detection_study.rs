@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example detection_study`
 
+#![forbid(unsafe_code)]
+
 use wrsn::core::attack::{CsaAttackPolicy, EagerSpoofPolicy, SelectiveNeglectPolicy};
 use wrsn::core::detect::{self, Detector, FairnessAudit, PostMortemAudit};
 use wrsn::net::NodeId;

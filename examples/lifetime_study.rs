@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example lifetime_study`
 
+#![forbid(unsafe_code)]
+
 use wrsn::charge::{EarliestDeadlineFirst, Njnp, PeriodicTsp};
 use wrsn::core::attack::CsaAttackPolicy;
 use wrsn::scenario::Scenario;

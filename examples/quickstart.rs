@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+#![forbid(unsafe_code)]
+
 use wrsn::em::{superposition, CancelController, Transmitter};
 
 fn main() {

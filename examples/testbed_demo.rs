@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example testbed_demo`
 
+#![forbid(unsafe_code)]
+
 use wrsn::testbed::{measure, run_bench_experiment, TestbedParams};
 
 fn main() {

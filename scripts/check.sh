@@ -41,10 +41,10 @@ WRSN_SCALE_SIZES=10000 WRSN_SHARDS=8 WRSN_THREADS=1 \
 cmp -s "$scale_a" "$scale_b" \
   || { echo "scale trace differs between shard counts 1 and 8" >&2; exit 1; }
 
-echo "== scale-smoke: 10k nodes, thread counts 1 and 8 (shards 8), identical traces"
-# Parallel shard execution is a pure execution strategy too: fanning the
-# sharded segment kernel over worker threads must keep the full trace
-# byte-identical at any thread count.
+echo "== scale-smoke: 10k nodes, threaded network build and power recompute at 1 and 8 threads (shards 8), identical traces"
+# Threads are a pure execution strategy too: at 10k nodes (above the
+# 8192-node gate) the network build and the full power recompute run
+# threaded, and the full trace must stay byte-identical at any thread count.
 scale_t8="$(mktemp)"
 WRSN_SCALE_SIZES=10000 WRSN_SHARDS=8 WRSN_THREADS=8 \
   cargo run -p wrsn-bench --release --bin exp -- \

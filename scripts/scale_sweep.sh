@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
-# Threads × shards scaling campaign for the `scale` experiment.
+# Threads × shards execution-strategy sweep for the `scale` experiment.
 #
 # Runs `exp --id scale` once per (threads, shards, size) cell — one size per
 # invocation so the report's `world_run.execute` span is attributable to that
 # size — and merges every cell into a single JSON report with the host's CPU
-# count, so a curve measured on a 1-core container is never mistaken for a
-# parallel-speedup claim.
+# count and git rev.
+#
+# What the axes change: the advance loop always runs on the calling thread
+# and visits shards one after another, so shards only reorder its work.
+# Threads only reach the network build and the full power recompute, both
+# threaded at 8192 nodes and above. The report is a cost profile of those
+# strategies on this host, not a parallel-speedup claim; a speedup claim
+# needs an interleaved same-host A/B (see EXPERIMENTS.md, "scale, threaded").
 #
 # Usage: scripts/scale_sweep.sh [out.json]
 #   scripts/scale_sweep.sh                 -> BENCH_sweep.json
@@ -79,8 +85,8 @@ report = {
     "git_rev": git_rev,
     "rows": rows,
 }
-# Per-size speedup of the execute span relative to the threads=1 cell at the
-# same shard count: the honest headline for the parallel shard executor.
+# Per-size ratio of the execute span to the threads=1 cell at the same shard
+# count (threads reach execute only through the full power recompute).
 for row in rows:
     base = next(
         (r for r in rows

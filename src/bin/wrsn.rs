@@ -13,6 +13,8 @@
 //! reloads a snapshot and runs every detector over it — the operator's
 //! incident-response workflow.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use wrsn::core::attack::{CsaAttackPolicy, EagerSpoofPolicy, SelectiveNeglectPolicy};
